@@ -3,6 +3,8 @@
 // assignment move primitives they are built from.
 #include <benchmark/benchmark.h>
 
+#include <initializer_list>
+
 #include "bench_common.h"
 #include "core/greedy.h"
 #include "micro_main.h"
@@ -42,21 +44,28 @@ Fixture& TheFixture() {
   return *fixture;
 }
 
-// Attaches the greedy selection-effort counters (delta over the timed
-// loop, averaged per iteration) so BENCH_micro_algorithms.json shows the
-// lazy and naive variants side by side: "deltas" is the number of
-// incidence-list walks the selection rule paid for.
-void ReportSelectionCounters(benchmark::State& state,
-                             const obs::MetricsSnapshot& before) {
-  const obs::MetricsSnapshot after =
-      obs::MetricsRegistry::Global().Snapshot();
-  const auto per_iteration = benchmark::Counter::kAvgIterations;
-  for (const char* name :
-       {"greedy.deltas", "greedy.lazy_hits", "greedy.lazy_reevals"}) {
+// Attaches registry counters (delta over the timed loop, averaged per
+// iteration) to the benchmark's BENCH_micro_algorithms.json entry and
+// returns the after-snapshot.
+obs::MetricsSnapshot ReportCounters(benchmark::State& state,
+                                    const obs::MetricsSnapshot& before,
+                                    std::initializer_list<const char*> names) {
+  obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  for (const char* name : names) {
     state.counters[name] = benchmark::Counter(
         static_cast<double>(after.CounterOf(name) - before.CounterOf(name)),
-        per_iteration);
+        benchmark::Counter::kAvgIterations);
   }
+  return after;
+}
+
+// The greedy selection-effort counters, so the lazy and naive variants
+// sit side by side: "deltas" is the number of incidence-list walks the
+// selection rule paid for.
+void ReportSelectionCounters(benchmark::State& state,
+                             const obs::MetricsSnapshot& before) {
+  ReportCounters(state, before,
+                 {"greedy.deltas", "greedy.lazy_hits", "greedy.lazy_reevals"});
 }
 
 template <typename GreedyFn>
@@ -106,10 +115,17 @@ void BM_AdvertiserDrivenLocalSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvertiserDrivenLocalSearch)->Unit(benchmark::kMillisecond);
 
+// Also reports BLS effort per move class and the incidence-list walks
+// behind it; tier-1 gates these exactly (bench/baselines/
+// micro_bls_counters.json). The exact delta walks cost 4, 2 and 1 per
+// exchange, replace and release delta; bls.list_walks_per_delta shows
+// what the cached path pays instead (DESIGN.md §5.2).
 void BM_BillboardDrivenLocalSearch(benchmark::State& state) {
   Fixture& f = TheFixture();
   core::Assignment greedy(&f.index, f.advertisers, core::RegretParams{0.5});
   core::SynchronousGreedy(&greedy);
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
     core::Assignment s = greedy;
     core::LocalSearchConfig config;
@@ -118,6 +134,18 @@ void BM_BillboardDrivenLocalSearch(benchmark::State& state) {
     common::Rng rng(3);
     core::BillboardDrivenLocalSearch(&s, config, &rng);
     benchmark::DoNotOptimize(s.TotalRegret());
+  }
+  const obs::MetricsSnapshot after = ReportCounters(
+      state, before,
+      {"bls.deltas_evaluated", "bls.deltas.exchange", "bls.deltas.replace",
+       "bls.deltas.release", "bls.list_walks"});
+  const int64_t deltas = after.CounterOf("bls.deltas_evaluated") -
+                         before.CounterOf("bls.deltas_evaluated");
+  if (deltas > 0) {
+    state.counters["bls.list_walks_per_delta"] =
+        static_cast<double>(after.CounterOf("bls.list_walks") -
+                            before.CounterOf("bls.list_walks")) /
+        static_cast<double>(deltas);
   }
 }
 BENCHMARK(BM_BillboardDrivenLocalSearch)->Unit(benchmark::kMillisecond);

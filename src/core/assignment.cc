@@ -168,12 +168,14 @@ void Assignment::Replace(BillboardId om, BillboardId on) {
 void Assignment::SwapSets(AdvertiserId i, AdvertiserId j) {
   MROAM_CHECK(i != j);
   std::swap(sets_[i], sets_[j]);
-  std::swap(counters_[i], counters_[j]);
   // The swapped counter objects carry their epochs with them, so a stamp
   // cached against "advertiser i's counter" could still match numerically
-  // while describing what is now advertiser j's set: invalidate both.
-  counters_[i].MarkStructuralChange();
-  counters_[j].MarkStructuralChange();
+  // while describing what is now advertiser j's set: invalidate both,
+  // past either slot's old epoch so neither slot's epoch moves back.
+  const uint64_t floor = std::max(counters_[i].epoch(), counters_[j].epoch());
+  std::swap(counters_[i], counters_[j]);
+  counters_[i].MarkStructuralChange(floor);
+  counters_[j].MarkStructuralChange(floor);
   for (BillboardId o : sets_[i]) owner_[o] = i;
   for (BillboardId o : sets_[j]) owner_[o] = j;
   // Slots are positions within the (moved) vectors, so they stay valid.
@@ -201,13 +203,17 @@ void Assignment::CopyDeploymentFrom(const Assignment& other) {
   slot_ = other.slot_;
   sets_ = other.sets_;
   free_ = other.free_;
-  counters_ = other.counters_;
   regret_ = other.regret_;
   params_ = other.params_;
   total_regret_ = other.total_regret_;
   // The copied counters carry `other`'s epochs, which could collide with
-  // stamps cached against this assignment's previous state.
-  for (influence::CoverageCounter& c : counters_) c.MarkStructuralChange();
+  // stamps cached against this assignment's previous state: each slot's
+  // new epoch is max(own, incoming) + 1, so it only ever moves forward.
+  for (size_t a = 0; a < counters_.size(); ++a) {
+    const uint64_t own = counters_[a].epoch();
+    counters_[a] = other.counters_[a];
+    counters_[a].MarkStructuralChange(own);
+  }
   ++free_add_epoch_;
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/delta_evaluator.h"
 #include "core/greedy.h"
 #include "core/lazy_selector.h"
 #include "obs/metrics.h"
@@ -64,8 +65,9 @@ namespace {
 
 /// BLS move 1 for one advertiser pair: scan (o_m in S_i, o_n in S_j) and
 /// apply the first improving cross exchange. Returns true if applied.
-bool TryExchangeAcrossPair(Assignment* assignment, AdvertiserId i,
-                           AdvertiserId j, const LocalSearchConfig& config,
+bool TryExchangeAcrossPair(Assignment* assignment, DeltaEvaluator* deltas,
+                           AdvertiserId i, AdvertiserId j,
+                           const LocalSearchConfig& config,
                            common::Rng* rng, LocalSearchStats* stats) {
   MROAM_TRACE_SPAN("bls.move.exchange");
   // Snapshot the scan lists by value: ExchangeAcross reorders both
@@ -85,7 +87,8 @@ bool TryExchangeAcrossPair(Assignment* assignment, AdvertiserId i,
   double best_delta = 0.0;
   auto consider = [&](BillboardId om, BillboardId on) -> bool {
     ++stats->deltas_evaluated;
-    double delta = assignment->DeltaExchangeAcross(om, on);
+    ++stats->exchange_deltas;
+    double delta = deltas->DeltaExchangeAcross(om, on);
     if (!Accepts(delta, assignment->TotalRegret(),
                  config.improvement_ratio)) {
       return false;
@@ -129,9 +132,9 @@ bool TryExchangeAcrossPair(Assignment* assignment, AdvertiserId i,
 }
 
 /// BLS move 2: replace an assigned billboard of `i` by a free billboard.
-bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
-                        const LocalSearchConfig& config, common::Rng* rng,
-                        LocalSearchStats* stats) {
+bool TryReplaceWithFree(Assignment* assignment, DeltaEvaluator* deltas,
+                        AdvertiserId i, const LocalSearchConfig& config,
+                        common::Rng* rng, LocalSearchStats* stats) {
   MROAM_TRACE_SPAN("bls.move.replace");
   // Snapshot by value for the same reason as TryExchangeAcrossPair:
   // Replace reorders both the owner's list and the free pool.
@@ -148,7 +151,8 @@ bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
   double best_delta = 0.0;
   auto consider = [&](BillboardId om, BillboardId on) -> bool {
     ++stats->deltas_evaluated;
-    double delta = assignment->DeltaReplace(om, on);
+    ++stats->replace_deltas;
+    double delta = deltas->DeltaReplace(om, on);
     if (!Accepts(delta, assignment->TotalRegret(),
                  config.improvement_ratio)) {
       return false;
@@ -190,15 +194,17 @@ bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
 }
 
 /// BLS move 3: release billboards of `i` whose removal reduces regret.
-bool TryReleases(Assignment* assignment, AdvertiserId i,
-                 const LocalSearchConfig& config, LocalSearchStats* stats) {
+bool TryReleases(Assignment* assignment, DeltaEvaluator* deltas,
+                 AdvertiserId i, const LocalSearchConfig& config,
+                 LocalSearchStats* stats) {
   MROAM_TRACE_SPAN("bls.move.release");
   // Copy: Release mutates the set we'd be iterating.
   std::vector<BillboardId> snapshot = assignment->BillboardsOf(i);
   bool any = false;
   for (BillboardId om : snapshot) {
     ++stats->deltas_evaluated;
-    double delta = assignment->DeltaRelease(om);
+    ++stats->release_deltas;
+    double delta = deltas->DeltaRelease(om);
     if (Accepts(delta, assignment->TotalRegret(),
                 config.improvement_ratio)) {
       assignment->Release(om);
@@ -237,6 +243,9 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
   // to the rebuild-per-call behaviour.
   std::optional<Assignment> candidate;
   std::optional<LazySelector> completer;
+  // Moves 1-3 read their deltas from one evaluator whose epoch-stamped
+  // marginals stay warm across pairs and sweeps (DESIGN.md §5.2).
+  DeltaEvaluator deltas(assignment);
   bool improved = true;
   while (improved && stats.sweeps < config.max_sweeps) {
     MROAM_TRACE_SPAN_ID("bls.sweep", stats.sweeps);
@@ -247,14 +256,15 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
       // The cross exchange is symmetric, so unordered pairs suffice.
       for (size_t y = x + 1; y < t; ++y) {
         AdvertiserId j = targets[y];
-        if (TryExchangeAcrossPair(assignment, i, j, config, rng, &stats)) {
+        if (TryExchangeAcrossPair(assignment, &deltas, i, j, config, rng,
+                                  &stats)) {
           improved = true;
         }
       }
-      if (TryReplaceWithFree(assignment, i, config, rng, &stats)) {
+      if (TryReplaceWithFree(assignment, &deltas, i, config, rng, &stats)) {
         improved = true;
       }
-      if (TryReleases(assignment, i, config, &stats)) {
+      if (TryReleases(assignment, &deltas, i, config, &stats)) {
         improved = true;
       }
     }
@@ -281,10 +291,15 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
       }
     }
   }
+  stats.list_walks = deltas.list_walks();
   MROAM_COUNTER_ADD("bls.searches", 1);
   MROAM_COUNTER_ADD("bls.sweeps", stats.sweeps);
   MROAM_COUNTER_ADD("bls.moves_applied", stats.moves_applied);
   MROAM_COUNTER_ADD("bls.deltas_evaluated", stats.deltas_evaluated);
+  MROAM_COUNTER_ADD("bls.deltas.exchange", stats.exchange_deltas);
+  MROAM_COUNTER_ADD("bls.deltas.replace", stats.replace_deltas);
+  MROAM_COUNTER_ADD("bls.deltas.release", stats.release_deltas);
+  MROAM_COUNTER_ADD("bls.list_walks", stats.list_walks);
   return stats;
 }
 
@@ -295,15 +310,11 @@ namespace {
 void RunStrategy(Assignment* plan, SearchStrategy strategy,
                  const LocalSearchConfig& config, common::Rng* rng,
                  LocalSearchStats* stats) {
-  LocalSearchStats s;
   if (strategy == SearchStrategy::kAdvertiserDriven) {
-    s = AdvertiserDrivenLocalSearch(plan, config);
+    *stats += AdvertiserDrivenLocalSearch(plan, config);
   } else {
-    s = BillboardDrivenLocalSearch(plan, config, rng);
+    *stats += BillboardDrivenLocalSearch(plan, config, rng);
   }
-  stats->moves_applied += s.moves_applied;
-  stats->deltas_evaluated += s.deltas_evaluated;
-  stats->sweeps += s.sweeps;
 }
 
 /// Resolves LocalSearchConfig::num_threads: 0 = all hardware threads.
@@ -390,9 +401,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
     MROAM_CHECK(plans[t].has_value())
         << "restart task " << t << " of " << plans.size()
         << " never produced a plan";
-    total_stats.moves_applied += task_stats[t].moves_applied;
-    total_stats.deltas_evaluated += task_stats[t].deltas_evaluated;
-    total_stats.sweeps += task_stats[t].sweeps;
+    total_stats += task_stats[t];
     if (plans[t]->TotalRegret() < plans[winner]->TotalRegret()) winner = t;
   }
   if (stats != nullptr) *stats = total_stats;

@@ -62,6 +62,23 @@ struct LocalSearchStats {
   int64_t moves_applied = 0;
   int64_t deltas_evaluated = 0;
   int32_t sweeps = 0;
+  // BLS only: deltas evaluated (not applied) per move class 1-3, and the
+  // incidence-list walks they cost (DeltaEvaluator::list_walks()).
+  int64_t exchange_deltas = 0;
+  int64_t replace_deltas = 0;
+  int64_t release_deltas = 0;
+  int64_t list_walks = 0;
+
+  LocalSearchStats& operator+=(const LocalSearchStats& other) {
+    moves_applied += other.moves_applied;
+    deltas_evaluated += other.deltas_evaluated;
+    sweeps += other.sweeps;
+    exchange_deltas += other.exchange_deltas;
+    replace_deltas += other.replace_deltas;
+    release_deltas += other.release_deltas;
+    list_walks += other.list_walks;
+    return *this;
+  }
 };
 
 /// Algorithm 4 — Advertiser-driven Local Search: repeatedly exchanges the

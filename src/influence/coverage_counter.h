@@ -1,6 +1,7 @@
 #ifndef MROAM_INFLUENCE_COVERAGE_COUNTER_H_
 #define MROAM_INFLUENCE_COVERAGE_COUNTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -146,11 +147,14 @@ class CoverageCounter {
   uint64_t last_shrink_epoch() const { return last_shrink_epoch_; }
 
   /// Invalidates every cached observation of this counter (advances the
-  /// epoch as a shrink). Assignment::SwapSets calls this after swapping
-  /// counter objects between advertisers, where "which advertiser this
-  /// counter describes" changes without any Add/Remove.
-  void MarkStructuralChange() {
-    ++epoch_;
+  /// epoch as a shrink) and lifts the new epoch above `floor` as well.
+  /// Assignment::SwapSets and CopyDeploymentFrom call this after moving
+  /// counter objects into an advertiser's slot, where "which set this
+  /// counter describes" changes without any Add/Remove: passing the
+  /// slot's previous epoch as `floor` keeps the slot's epochs strictly
+  /// increasing, so a stamp cached against the slot never repeats.
+  void MarkStructuralChange(uint64_t floor) {
+    epoch_ = std::max(epoch_, floor) + 1;
     last_shrink_epoch_ = epoch_;
   }
 

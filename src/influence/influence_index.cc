@@ -138,6 +138,36 @@ void InfluenceIndex::BuildReverseIndex() {
   }
 }
 
+const BoardOverlap& InfluenceIndex::board_overlap() const {
+  std::call_once(overlap_->once, [this] {
+    MROAM_TRACE_SPAN("influence.board_overlap");
+    common::Stopwatch watch;
+    BoardOverlap& overlap = overlap_->overlap;
+    const size_t n = static_cast<size_t>(num_billboards_);
+    overlap.words_per_row_ = (n + 63) / 64;
+    overlap.bits_.assign(n * overlap.words_per_row_, 0);
+    // Every pair of boards on one trajectory's covering list overlaps.
+    std::vector<model::BillboardId> boards;
+    for (model::TrajectoryId t = 0; t < num_trajectories_; ++t) {
+      boards.clear();
+      ForEachCovering(t, [&boards](model::BillboardId o) {
+        boards.push_back(o);
+      });
+      for (model::BillboardId x : boards) {
+        uint64_t* row = &overlap.bits_[static_cast<size_t>(x) *
+                                       overlap.words_per_row_];
+        for (model::BillboardId y : boards) {
+          row[static_cast<uint32_t>(y) >> 6] |=
+              uint64_t{1} << (static_cast<uint32_t>(y) & 63);
+        }
+      }
+    }
+    MROAM_HISTOGRAM_OBSERVE("influence.board_overlap_seconds",
+                            watch.ElapsedSeconds());
+  });
+  return overlap_->overlap;
+}
+
 int64_t InfluenceIndex::InfluenceOfSet(
     const std::vector<model::BillboardId>& set) const {
   std::vector<model::TrajectoryId> all;

@@ -2,6 +2,8 @@
 #define MROAM_INFLUENCE_INFLUENCE_INDEX_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "cindex/postings.h"
@@ -20,6 +22,29 @@ namespace mroam::influence {
 enum class IndexBackend {
   kPlain,
   kCompressed,
+};
+
+/// Which billboard pairs share at least one trajectory: a symmetric
+/// num_billboards x num_billboards bitset (one row of ceil(n / 64) words
+/// per billboard; 0.25 MB at NYC's 1462 boards, 2.0 MB at SG's 4092).
+/// Local search uses it to skip the list merge behind an exchange
+/// delta's correction term, which is zero for disjoint boards
+/// (DESIGN.md §5.2). Obtained from InfluenceIndex::board_overlap().
+class BoardOverlap {
+ public:
+  /// True iff CoveredBy(x) and CoveredBy(y) intersect (for x == y: iff
+  /// the list is non-empty).
+  bool Overlap(model::BillboardId x, model::BillboardId y) const {
+    const uint64_t word =
+        bits_[static_cast<size_t>(x) * words_per_row_ +
+              (static_cast<uint32_t>(y) >> 6)];
+    return ((word >> (static_cast<uint32_t>(y) & 63)) & 1) != 0;
+  }
+
+ private:
+  friend class InfluenceIndex;
+  size_t words_per_row_ = 0;
+  std::vector<uint64_t> bits_;
 };
 
 /// Precomputed billboard -> trajectory incidence under the paper's meet
@@ -138,6 +163,13 @@ class InfluenceIndex {
     return covering_c_;
   }
 
+  /// The board-overlap bitset, built on first use from the reverse lists
+  /// (ForEachCovering, so compressed-only indexes work too) in
+  /// O(sum_t |CoveringOf(t)|^2) and then shared by every caller. Thread
+  /// safe: concurrent first calls build it once. Index build, snapshot
+  /// load and serving never touch it; only local search does.
+  const BoardOverlap& board_overlap() const;
+
   /// I({o}) — the number of trajectories billboard `o` influences.
   int64_t InfluenceOf(model::BillboardId o) const {
     return has_plain_ ? static_cast<int64_t>(covered_[o].size())
@@ -178,6 +210,13 @@ class InfluenceIndex {
   /// representation, for FromCompressed indexes).
   cindex::CompressedPostings covered_c_;
   cindex::CompressedPostings covering_c_;
+  /// The lazily built board_overlap(). Shared by copies of the index,
+  /// which hold the same immutable incidence.
+  struct LazyOverlap {
+    std::once_flag once;
+    BoardOverlap overlap;
+  };
+  std::shared_ptr<LazyOverlap> overlap_ = std::make_shared<LazyOverlap>();
 };
 
 /// Reference implementation of the meet model by exhaustive distance

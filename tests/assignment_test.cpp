@@ -1,5 +1,7 @@
 #include "core/assignment.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -174,6 +176,36 @@ TEST_F(AssignmentTest, CopyDeploymentFrom) {
   b.Release(0);
   EXPECT_EQ(a.OwnerOf(0), 0);
   a.VerifyInvariants();
+}
+
+// Caches stamp values with a slot's counter epoch, so no mutation may
+// move a slot's epoch back onto a value it has already held — including
+// wholesale copies from a deployment whose counters are younger, and set
+// swaps between slots of different ages.
+TEST_F(AssignmentTest, SlotEpochsOnlyMoveForward) {
+  Assignment s(&index_, TwoAdvertisers(), RegretParams{0.5});
+  s.Assign(0, 0);
+  s.Assign(1, 0);
+  s.Release(1);
+  s.Assign(2, 1);
+  Assignment younger(&index_, TwoAdvertisers(), RegretParams{0.5});
+  younger.Assign(1, 0);
+  const uint64_t own0 = s.CounterOf(0).epoch();
+  const uint64_t own1 = s.CounterOf(1).epoch();
+  ASSERT_LT(younger.CounterOf(0).epoch() + 1, own0);
+  s.CopyDeploymentFrom(younger);
+  EXPECT_GT(s.CounterOf(0).epoch(), own0);
+  EXPECT_GT(s.CounterOf(1).epoch(), own1);
+  EXPECT_EQ(s.CounterOf(0).last_shrink_epoch(), s.CounterOf(0).epoch());
+
+  s.Assign(3, 1);
+  s.Assign(0, 1);
+  const uint64_t before0 = s.CounterOf(0).epoch();
+  const uint64_t before1 = s.CounterOf(1).epoch();
+  s.SwapSets(0, 1);
+  EXPECT_GT(s.CounterOf(0).epoch(), std::max(before0, before1));
+  EXPECT_GT(s.CounterOf(1).epoch(), std::max(before0, before1));
+  s.VerifyInvariants();
 }
 
 TEST_F(AssignmentTest, BreakdownSplitsComponents) {

@@ -1,5 +1,7 @@
 #include "influence/influence_index.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "gen/city_generators.h"
@@ -167,6 +169,51 @@ TEST(ReportsTest, EmptyIndexIsHandled) {
   EXPECT_TRUE(InfluenceDistribution(index).empty());
   InfluenceSummary s = SummarizeInfluence(index);
   EXPECT_EQ(s.max, 0);
+}
+
+TEST(BoardOverlapTest, AgreesWithBruteForceListIntersection) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    common::Rng rng(seed);
+    gen::NycLikeConfig config;
+    config.num_billboards = 70;  // rows span two 64-bit words
+    config.num_trajectories = 600;
+    model::Dataset dataset = gen::GenerateNycLike(config, &rng);
+    InfluenceIndex full = InfluenceIndex::Build(
+        dataset, 100.0 + 40.0 * static_cast<double>(seed));
+    InfluenceIndex compact = InfluenceIndex::FromCompressed(
+        full.compressed_covered(), full.compressed_covering(),
+        full.lambda());
+    const BoardOverlap& plain = full.board_overlap();
+    const BoardOverlap& decoded = compact.board_overlap();
+    int64_t overlapping = 0;
+    for (model::BillboardId x = 0; x < full.num_billboards(); ++x) {
+      for (model::BillboardId y = 0; y < full.num_billboards(); ++y) {
+        const auto& lx = full.CoveredBy(x);
+        const auto& ly = full.CoveredBy(y);
+        bool brute = false;
+        for (model::TrajectoryId t : lx) {
+          if (std::find(ly.begin(), ly.end(), t) != ly.end()) brute = true;
+        }
+        ASSERT_EQ(plain.Overlap(x, y), brute) << x << "," << y;
+        ASSERT_EQ(decoded.Overlap(x, y), brute) << x << "," << y;
+        if (brute && x != y) ++overlapping;
+      }
+    }
+    // The fixture must exercise both answers.
+    EXPECT_GT(overlapping, 0);
+    EXPECT_LT(overlapping, int64_t{70} * 69);
+  }
+}
+
+TEST(BoardOverlapTest, CopiesShareTheBuiltBitset) {
+  InfluenceIndex index = InfluenceIndex::Build(
+      DatasetFromIncidence({{0, 1}, {1, 2}, {3}}, 4), kFixtureLambda);
+  const BoardOverlap& built = index.board_overlap();
+  InfluenceIndex copy = index;
+  EXPECT_EQ(&copy.board_overlap(), &built);
+  EXPECT_TRUE(built.Overlap(0, 1));
+  EXPECT_FALSE(built.Overlap(0, 2));
+  EXPECT_FALSE(built.Overlap(2, 1));
 }
 
 }  // namespace

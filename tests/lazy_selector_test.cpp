@@ -113,6 +113,31 @@ TEST(LazySelectorTest, MatchesExhaustiveUnderInterleavedMutations) {
   }
 }
 
+TEST(LazySelectorTest, CopyFromYoungerDeploymentInvalidatesStamps) {
+  // A selector that persists across CopyDeploymentFrom (as BLS's move-4
+  // completer does) must not mistake a gain stamped against the old
+  // deployment for a current one. Here the incoming counter's epoch is
+  // one below the stamp, which a copy that set the slot's epoch to
+  // `incoming + 1` would reproduce exactly.
+  model::Dataset d;
+  // o1 covers trajectory 2 of o0: its gain is 3 next to o0, 4 alone,
+  // and 4 is the demand, so o1 satisfies the advertiser on its own.
+  auto index = IndexFromIncidence({{0, 1, 2}, {2, 3, 4, 5}}, 6, &d);
+  const std::vector<market::Advertiser> ads{Adv(0, 4, 8.0)};
+  Assignment s(&index, ads, RegretParams{0.5});
+  s.Assign(0, 0);
+  LazySelector selector(&s);
+  ASSERT_EQ(selector.BestBillboard(0), 1);  // stamps o1's gain 3
+
+  const Assignment younger(&index, ads, RegretParams{0.5});  // empty
+  ASSERT_EQ(younger.CounterOf(0).epoch() + 1, s.CounterOf(0).epoch());
+  s.CopyDeploymentFrom(younger);
+  // From the empty set o1 satisfies the demand outright and wins; with
+  // its stale gain of 3 it would lose to o0.
+  EXPECT_EQ(BestBillboardFor(s, 0), 1);
+  EXPECT_EQ(selector.BestBillboard(0), 1);
+}
+
 TEST(LazySelectorTest, ExactTiesResolveIdentically) {
   // Four byte-identical billboards: ratio and gain ratio tie exactly, so
   // both engines must walk the full tie-break chain down to the id.

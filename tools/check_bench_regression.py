@@ -40,6 +40,11 @@ where smaller means worse, e.g. the cindex decode rate and compression
 ratio. Floors are hand-maintained (anchored to acceptance criteria, not
 to one machine's measurement) and are left untouched by --update.
 
+With --exact every "values" entry must be matched exactly (up to
+ABS_EPSILON): a drop fails as well as a rise. Use it for counters that
+are pure functions of a seeded workload, where any change means the
+algorithm's path changed.
+
 Exit codes: 0 ok, 1 regression or malformed input, 2 usage error.
 
 Refreshing a baseline after an intentional change (repeat --counter for a
@@ -154,6 +159,10 @@ def main():
                         "relative tolerance, in the counter's own units "
                         "(default: 0). Use for wall-clock counters whose "
                         "baseline is small enough that noise dominates.")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any difference from a 'values' "
+                        "entry, not only a rise (ignores --tolerance and "
+                        "--slack for them)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from --current instead "
                         "of checking")
@@ -203,7 +212,13 @@ def main():
             allowed = (expected * (1.0 + args.tolerance) + args.slack
                        + ABS_EPSILON)
             verdict = "ok"
-            if actual > allowed:
+            if args.exact:
+                if abs(actual - expected) > ABS_EPSILON:
+                    verdict = "CHANGED"
+                    failures.append(
+                        f"{name}: {counter} {actual:g} differs from "
+                        f"baseline {expected:g} (exact gate)")
+            elif actual > allowed:
                 verdict = "REGRESSION"
                 failures.append(
                     f"{name}: {counter} {actual:g} exceeds baseline "
@@ -241,8 +256,12 @@ def main():
         for failure in failures:
             print(f"  {failure}")
         sys.exit(1)
-    print(f"check_bench_regression: {checked} counter values within "
-          f"{args.tolerance:.0%} of baseline")
+    if args.exact:
+        print(f"check_bench_regression: {checked} counter values match "
+              "the baseline exactly")
+    else:
+        print(f"check_bench_regression: {checked} counter values within "
+              f"{args.tolerance:.0%} of baseline")
 
 
 if __name__ == "__main__":
