@@ -61,11 +61,14 @@ obs::MetricsSnapshot ReportCounters(benchmark::State& state,
 
 // The greedy selection-effort counters, so the lazy and naive variants
 // sit side by side: "deltas" is the number of incidence-list walks the
-// selection rule paid for.
+// selection rule paid for, "candidates" the entries it examined to find
+// them. Tier-1 gates both exactly (bench/baselines/
+// micro_algorithms_counters.json, micro_greedy_candidates.json).
 void ReportSelectionCounters(benchmark::State& state,
                              const obs::MetricsSnapshot& before) {
   ReportCounters(state, before,
-                 {"greedy.deltas", "greedy.lazy_hits", "greedy.lazy_reevals"});
+                 {"greedy.deltas", "greedy.candidates", "greedy.lazy_hits",
+                  "greedy.lazy_reevals"});
 }
 
 template <typename GreedyFn>
@@ -117,7 +120,8 @@ BENCHMARK(BM_AdvertiserDrivenLocalSearch)->Unit(benchmark::kMillisecond);
 
 // Also reports BLS effort per move class and the incidence-list walks
 // behind it; tier-1 gates these exactly (bench/baselines/
-// micro_bls_counters.json). The exact delta walks cost 4, 2 and 1 per
+// micro_bls_counters.json), and the move-4 completions' selector effort
+// with the greedy benches. The exact delta walks cost 4, 2 and 1 per
 // exchange, replace and release delta; bls.list_walks_per_delta shows
 // what the cached path pays instead (DESIGN.md §5.2).
 void BM_BillboardDrivenLocalSearch(benchmark::State& state) {
@@ -138,7 +142,8 @@ void BM_BillboardDrivenLocalSearch(benchmark::State& state) {
   const obs::MetricsSnapshot after = ReportCounters(
       state, before,
       {"bls.deltas_evaluated", "bls.deltas.exchange", "bls.deltas.replace",
-       "bls.deltas.release", "bls.list_walks"});
+       "bls.deltas.release", "bls.list_walks", "greedy.deltas",
+       "greedy.candidates"});
   const int64_t deltas = after.CounterOf("bls.deltas_evaluated") -
                          before.CounterOf("bls.deltas_evaluated");
   if (deltas > 0) {

@@ -128,6 +128,7 @@ void Assignment::Assign(BillboardId o, AdvertiserId a) {
   MROAM_CHECK(owner_[o] == kNoAdvertiser);
   MROAM_CHECK(a >= 0 && a < num_advertisers());
   SwapPop(&free_, &slot_, slot_[o]);
+  pool_exits_.push_back(o);
   owner_[o] = a;
   slot_[o] = static_cast<int32_t>(sets_[a].size());
   sets_[a].push_back(o);
@@ -143,6 +144,7 @@ void Assignment::Release(BillboardId o) {
   slot_[o] = static_cast<int32_t>(free_.size());
   free_.push_back(o);
   ++free_add_epoch_;
+  pool_exits_.clear();
   counters_[a].Remove(o);
   RecomputeRegret(a);
 }
@@ -215,6 +217,7 @@ void Assignment::CopyDeploymentFrom(const Assignment& other) {
     counters_[a].MarkStructuralChange(own);
   }
   ++free_add_epoch_;
+  pool_exits_.clear();
 }
 
 void Assignment::RestoreDeployment(

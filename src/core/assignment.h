@@ -115,11 +115,19 @@ class Assignment {
   /// Epoch advanced every time a billboard (re-)enters the free pool, i.e.
   /// on every Release (and wholesale on CopyDeploymentFrom). Lets any
   /// structure caching a view of the free pool detect re-added members
-  /// without diffing the list; billboards *leaving* the pool are cheaper
-  /// to detect per-entry via OwnerOf. The lazy selector re-reads the pool
-  /// on every query, so it only needs the counter epochs — this one is
-  /// for callers that persist candidate lists across picks.
+  /// without diffing the list. The lazy selector's frontier rebuilds on
+  /// a change of it.
   uint64_t free_add_epoch() const { return free_add_epoch_; }
+
+  /// Billboards that left the free pool (Assign) since free_add_epoch()
+  /// last advanced, oldest first; cleared whenever it advances. Each board
+  /// appears at most once (leaving again needs a re-entry first), so a
+  /// cache of the pool that read the log up to length k under the current
+  /// free_add_epoch() finds exactly the members that left since in the
+  /// entries past k.
+  const std::vector<model::BillboardId>& pool_exits() const {
+    return pool_exits_;
+  }
 
   /// The stacked-bar decomposition of the current total regret.
   RegretBreakdown Breakdown() const;
@@ -204,6 +212,7 @@ class Assignment {
   std::vector<double> regret_;                    // cached R(S_a)
   double total_regret_ = 0.0;
   uint64_t free_add_epoch_ = 1;  // 0 reserved for "never observed"
+  std::vector<model::BillboardId> pool_exits_;
 };
 
 /// Number of billboards whose owner differs between two deployments over

@@ -22,22 +22,26 @@ struct SelectorEffort {
   int64_t exact_evaluations = 0;
   int64_t lazy_hits = 0;
   int64_t lazy_reevals = 0;
+  int64_t candidates = 0;
 
   static SelectorEffort Of(const LazySelector& selector) {
     return {selector.exact_evaluations(), selector.lazy_hits(),
-            selector.lazy_reevals()};
+            selector.lazy_reevals(), selector.candidates()};
   }
 };
 
 /// One registry flush per greedy run: exact evaluations (incidence-list
 /// walks) under the shared "greedy.deltas" name — the number the
 /// lazy-vs-exhaustive comparison in micro_algorithms reads — plus the
-/// lazy engine's hit/re-evaluation split. Flushes the delta over `entry`,
-/// i.e. the effort this run added.
+/// lazy engine's hit/re-evaluation split and the candidates the selector
+/// examined ("greedy.candidates"). Flushes the delta over `entry`, i.e.
+/// the effort this run added.
 void FlushSelectorCounters(const LazySelector& selector,
                            const SelectorEffort& entry) {
   MROAM_COUNTER_ADD("greedy.deltas",
                     selector.exact_evaluations() - entry.exact_evaluations);
+  MROAM_COUNTER_ADD("greedy.candidates",
+                    selector.candidates() - entry.candidates);
   MROAM_COUNTER_ADD("greedy.lazy_hits", selector.lazy_hits() - entry.lazy_hits);
   MROAM_COUNTER_ADD("greedy.lazy_reevals",
                     selector.lazy_reevals() - entry.lazy_reevals);

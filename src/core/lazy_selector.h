@@ -1,6 +1,7 @@
 #ifndef MROAM_CORE_LAZY_SELECTOR_H_
 #define MROAM_CORE_LAZY_SELECTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,47 +39,55 @@ inline bool SelectionBeats(double ratio, double gain_ratio,
 ///
 /// The expensive unit of the exhaustive scan is the incidence-list walk
 /// behind MarginalGain — one per free billboard per pick. The selector
-/// eliminates almost all of them by caching each candidate's marginal
-/// gain stamped with the advertiser's counter epoch
-/// (CoverageCounter::epoch()). Two facts make the cache sound
-/// (DESIGN.md §5.1):
+/// keeps, per advertiser, each board's cached marginal gain and a dirty
+/// bit (DESIGN.md §5.1):
 ///
-///  1. With impression_threshold == 1, MarginalGain(a, o) is monotone
-///     non-increasing while S_a only grows, so a gain cached at counter
-///     epoch >= last_shrink_epoch() stays a valid *upper bound* on the
-///     current gain (CoverageCounter::last_shrink_epoch()).
-///  2. A gain changes only when a board added to S_a shares a trajectory
-///     with the candidate. While the counter has only grown, the boards
-///     added since the previous query are exactly the tail of
-///     BillboardsOf(a); walking just those and a reverse
-///     (trajectory -> billboards) index re-stamps every unaffected
-///     cached gain as *exact* at the current epoch.
+///  * a clean gain is exact;
+///  * a dirty gain is an upper bound. With impression_threshold == 1 a
+///    gain never rises while S_a only grows (CoverageCounter::
+///    last_shrink_epoch()), so a gain once exact stays a bound until the
+///    counter shrinks; a shrink resets every bound to I({o}).
 ///
-/// Each BestBillboard call is then one O(|free|) arithmetic pass: fresh
-/// candidates (stamp == current epoch) resolve from cache with no walk
-/// and compete immediately under SelectionBeats; stale candidates are
-/// deferred into a small max-heap keyed by an O(1) upper bound on their
-/// ratio (satisfaction jump when the gain bound can bridge the remaining
-/// demand, the linear branch otherwise — the drop is not submodular, so
-/// textbook CELF's stale keys would be unsound). The heap is drained
-/// only while its top key can still reach the tie band of the best exact
-/// ratio seen; each drained entry pays the one walk and re-stamps its
-/// cache. The result is provably the argmax under SelectionBeats,
-/// bit-for-bit equal to the exhaustive scan whenever candidate ratios
-/// are either exactly tied or separated by more than the tie tolerance
-/// (true for every instance the equivalence suite draws). Exact ties —
-/// pervasive, since every candidate disjoint from S_a sits on the same
-/// gamma * L / D plateau — are broken from cache at O(1) each.
+/// A gain changes only when a board sharing a trajectory with it joins
+/// S_a, so a call whose counter epoch moved marks dirty the neighbours
+/// (InfluenceIndex::board_overlap()) of the boards added to S_a since the
+/// previous call, and every board then out of the free pool
+/// (Assignment::pool_exits()): a gain is confirmed exact only for boards
+/// a call sees in the pool.
 ///
-/// For impression_threshold > 1 fact 1 fails (counts climbing toward the
-/// threshold *raise* gains), so the selector detects it on construction
-/// and every query falls back to the exhaustive scan. The same happens
-/// when constructed with lazy = false (the solver knob).
+/// Every pick is the reference pass's result: the best clean candidate
+/// under SelectionBeats (clean candidates compete from cache), then a
+/// drain of the dirty ones in the order of an O(1) upper bound on their
+/// ratio, walking each until the top bound cannot reach the tie band of
+/// the best exact ratio. The satisfaction jump makes the drop
+/// non-submodular, so the bound takes the jump when the gain bound can
+/// bridge the gap D - I(S_a).
+///
+/// A pick that cannot reach the demand (every free I({o}) below the gap)
+/// needs no pass over the free pool. Its candidates sit on the linear
+/// branch of Equation 1, so the dirty bounds do not depend on I(S_a) and
+/// a persistent max-heap holds the drain order. The clean candidates
+/// rank by g / I({o}); a candidate's computed ratio depends only on
+/// (g, I({o})), so the best clean candidate is found among the top key
+/// level alone — the boards disjoint from S_a (g = I({o})) grouped by
+/// I({o}), whose rounding differs by group, or else the top of a heap of
+/// the others — checked against the next level. When rounding leaves no
+/// candidate that wins every comparison, the pick takes the pass.
+/// Dead heap entries are dropped lazily: a version per board marks its
+/// live entry.
+///
+/// For impression_threshold > 1 gains are not monotone (counts climbing
+/// toward the threshold *raise* gains), so the selector detects it on
+/// construction and every query falls back to the exhaustive scan. The
+/// same happens when constructed with lazy = false (the solver knob).
 ///
 /// The selector holds no Assignment state beyond epoch observations: it
-/// is built per greedy run, must not outlive `assignment`, and tolerates
-/// arbitrary interleaved mutations (epochs make stale caches harmless;
-/// the free pool is re-read on every call).
+/// must not outlive `assignment`, and tolerates arbitrary interleaved
+/// mutations between calls (counter epochs, free_add_epoch() and
+/// pool_exits() tell it what changed). Picks and walk counts equal the
+/// pass's, which is bit-for-bit the exhaustive scan whenever candidate
+/// ratios are either exactly tied or separated by more than the tie
+/// tolerance (true for every instance the equivalence suite draws).
 class LazySelector {
  public:
   /// `assignment` must outlive the selector. `lazy` = false forces the
@@ -108,47 +117,183 @@ class LazySelector {
   /// exhaustive scan pays one per candidate per pick; the lazy path only
   /// pays for re-evaluations.
   int64_t exact_evaluations() const { return exact_evaluations_; }
-  /// Candidates resolved from a stamp-fresh cached gain (no list walk).
+  /// Picks whose clean winner the frontier found without a pass, plus
+  /// clean candidates the pass resolved from cache (no list walk either
+  /// way).
   int64_t lazy_hits() const { return lazy_hits_; }
-  /// Stale candidates that had to recompute their gain (one list walk).
+  /// Dirty candidates that had to recompute their gain (one list walk).
   int64_t lazy_reevals() const { return lazy_reevals_; }
+  /// Candidates examined: frontier candidates and heap entries popped,
+  /// plus free-pool entries the pass or the exhaustive scan visits.
+  int64_t candidates() const { return candidates_; }
 
  private:
-  struct HeapEntry {
-    double key = 0.0;  ///< upper bound on the candidate's regret-delta ratio
+  /// A clean-heap entry: the board's exact gain when pushed.
+  struct Entry {
+    int32_t gain = 0;
+    int32_t supplied = 0;  ///< I({o})
     model::BillboardId id = model::kInvalidBillboard;
+    uint32_t version = 0;
+  };
+  /// A drain entry: the upper bound on the board's ratio when pushed.
+  struct Bound {
+    double key = 0.0;
+    model::BillboardId id = model::kInvalidBillboard;
+    uint32_t version = 0;
   };
 
-  /// Max-heap order for std::*_heap: higher key first, then smaller id,
-  /// so the drain sequence is fully specified.
-  static bool HeapLess(const HeapEntry& x, const HeapEntry& y) {
-    if (x.key != y.key) return x.key < y.key;
-    return x.id > y.id;
+  /// Same g / I({o}) (exact, in int64).
+  static bool SameKey(const Entry& x, const Entry& y) {
+    return int64_t{x.gain} * y.supplied == int64_t{y.gain} * x.supplied;
   }
+  /// Max-heap order of clean entries: higher g / I({o}), then smaller id.
+  struct CleanOrder {
+    bool operator()(const Entry& x, const Entry& y) const {
+      const int64_t lhs = int64_t{x.gain} * y.supplied;
+      const int64_t rhs = int64_t{y.gain} * x.supplied;
+      if (lhs != rhs) return lhs < rhs;
+      return x.id > y.id;
+    }
+  };
+  /// Max-heap order of the drain: higher key first, then smaller id, so
+  /// the drain sequence is fully specified.
+  struct DrainOrder {
+    bool operator()(const Bound& x, const Bound& y) const {
+      if (x.key != y.key) return x.key < y.key;
+      return x.id > y.id;
+    }
+  };
+
+  /// A candidate with its selection keys; as the running best of a scan,
+  /// id = kInvalidBillboard until the first offer.
+  struct Pick {
+    model::BillboardId id = model::kInvalidBillboard;
+    double ratio = 0.0;
+    double gain_ratio = 0.0;
+
+    bool Beats(const Pick& other) const {
+      return SelectionBeats(ratio, gain_ratio, id, other.ratio,
+                            other.gain_ratio, other.id);
+    }
+    /// Takes `candidate` when it is the first or beats the best so far.
+    void Offer(const Pick& candidate) {
+      if (id == model::kInvalidBillboard || candidate.Beats(*this)) {
+        *this = candidate;
+      }
+    }
+  };
 
   struct AdvertiserState {
     bool initialized = false;
-    std::vector<int64_t> cached_gain;  ///< by billboard
-    std::vector<uint64_t> gain_stamp;  ///< counter epoch; 0 = never cached
-    /// Counter epoch of the last BestBillboard scan (0 = never scanned).
+    std::vector<int32_t> gain;      ///< by billboard: exact if clean
+    std::vector<uint8_t> dirty;     ///< by billboard
+    std::vector<uint32_t> version;  ///< by billboard: its live entry
+    /// Clean boards with g = I({o}): below quiet_supply one bit per
+    /// position of order_, from it on one bit per board id.
+    std::vector<uint64_t> disjoint;
+    std::vector<uint64_t> quiet;
+    /// The least I({o}) whose ratio rounding provably stays within
+    /// kQuietBand of the tie tolerance around gamma L / D, and the first
+    /// position of order_ at or above it.
+    int64_t quiet_supply = 0;
+    size_t quiet_from = 0;
+    /// Max-heap of the other clean boards, kept only once a pick has
+    /// needed it (until the next refile).
+    std::vector<Entry> clean;
+    bool clean_valid = false;
+    /// Dirty boards in drain order: those filed by the last refile
+    /// sorted best first (consumed from `sorted_from`), later ones in a
+    /// max-heap.
+    std::vector<Bound> sorted;
+    size_t sorted_from = 0;
+    std::vector<Bound> bounded;
+    /// Counter epoch at the last call (0 = never called).
     uint64_t last_scan_epoch = 0;
-    /// |BillboardsOf(a)| at the last scan. While the counter only grows,
+    /// |BillboardsOf(a)| at the last call. While the counter only grows,
     /// boards added since then are exactly the list's tail beyond this
-    /// size (Assignment appends on Assign) — the scan uses that to
-    /// upgrade unaffected cached gains to exact.
+    /// size (Assignment appends on Assign).
     size_t seen_set_size = 0;
+    /// Assignment::free_add_epoch() at the last call.
+    uint64_t seen_free_add_epoch = 0;
+    /// free_add_epoch() and |pool_exits()| when the counter epoch last
+    /// moved: boards out of the pool then were filed dirty.
+    uint64_t exits_epoch = 0;
+    size_t exits_from = 0;
   };
 
   model::BillboardId ExhaustiveBest(market::AdvertiserId a);
+  /// Brings `state` up to the current deployment: marks dirty every board
+  /// whose cached gain may have changed or that left the pool, and
+  /// refiles every board when the pool grew or the counter shrank.
+  void Sync(market::AdvertiserId a, AdvertiserState& state);
+  /// Files free board `o` under its current gain and dirty bit; `bulk`
+  /// appends a dirty board to `sorted` for RefileAll to sort.
+  void File(market::AdvertiserId a, AdvertiserState& state,
+            model::BillboardId o, bool bulk = false);
+  void RefileAll(market::AdvertiserId a, AdvertiserState& state);
+  /// Marks `o` dirty; `refile` pushes its drain entry when it is free.
+  void MarkDirty(market::AdvertiserId a, AdvertiserState& state,
+                 model::BillboardId o, bool refile);
+  /// One list walk: stores o's exact gain, files it clean, returns it.
+  int64_t Rewalk(market::AdvertiserId a, AdvertiserState& state,
+                 model::BillboardId o);
+  /// The largest I({o}) over the free pool (0 when it is empty).
+  int64_t MaxFreeSupply();
+  model::BillboardId PassBest(market::AdvertiserId a,
+                              AdvertiserState& state);
+  /// `max_supply` is MaxFreeSupply(), below the demand gap.
+  model::BillboardId FrontierBest(market::AdvertiserId a,
+                                  AdvertiserState& state, int64_t max_supply);
+  /// The winner the pass's scan of the clean candidates would reach, found
+  /// from the frontier (`winner->id` stays invalid without clean
+  /// candidates); false when rounding leaves the pass to decide.
+  bool CleanWinner(market::AdvertiserId a, AdvertiserState& state,
+                   int64_t max_supply, Pick* winner);
+
+  bool IsFree(model::BillboardId o) const {
+    return assignment_->OwnerOf(o) == market::kNoAdvertiser;
+  }
+  /// Whether a heap entry still describes a free board's cached state.
+  template <typename Heaped>
+  bool Live(const AdvertiserState& state, const Heaped& entry) const {
+    return entry.version == state.version[entry.id] && IsFree(entry.id);
+  }
+  /// The live top of a heap, dropping dead entries on the way.
+  template <typename Heaped, typename Order>
+  const Heaped* LiveTop(const AdvertiserState& state,
+                        std::vector<Heaped>& heap, Order order) {
+    while (!heap.empty()) {
+      const Heaped& top = heap.front();
+      if (Live(state, top)) return &top;
+      std::pop_heap(heap.begin(), heap.end(), order);
+      heap.pop_back();
+      ++candidates_;
+    }
+    return nullptr;
+  }
 
   const Assignment* assignment_;
   bool lazy_active_;
-  std::vector<AdvertiserState> states_;     // by advertiser, lazily built
-  std::vector<uint8_t> touched_;  // per-scan scratch, by billboard
-  std::vector<HeapEntry> stale_;  // per-scan scratch: deferred candidates
+  std::vector<AdvertiserState> states_;  // by advertiser, lazily built
+  const influence::BoardOverlap* overlap_ = nullptr;  // fetched on first use
+  std::vector<int32_t> supply_;  ///< I({o}) by board
+  /// Boards with I({o}) > 0 by ascending I({o}), then id; position_ maps
+  /// a board to its slot (-1 when I({o}) = 0) and group_end_ a slot to
+  /// the end of its run of equal I({o}).
+  std::vector<model::BillboardId> order_;
+  std::vector<int32_t> position_;
+  std::vector<int32_t> group_end_;
+  /// MaxFreeSupply's cursor walks order_ down from the top, skipping
+  /// boards out of the pool; it restarts when the pool grows.
+  size_t supply_cursor_ = 0;
+  uint64_t supply_cursor_epoch_ = 0;
+  std::vector<Bound> deferred_;  // pass scratch
+  std::vector<Pick> level_;      // frontier scratch
+  std::vector<Entry> run_;       // frontier scratch
   int64_t exact_evaluations_ = 0;
   int64_t lazy_hits_ = 0;
   int64_t lazy_reevals_ = 0;
+  int64_t candidates_ = 0;
 };
 
 }  // namespace mroam::core

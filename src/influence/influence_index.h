@@ -1,6 +1,7 @@
 #ifndef MROAM_INFLUENCE_INFLUENCE_INDEX_H_
 #define MROAM_INFLUENCE_INFLUENCE_INDEX_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -29,7 +30,9 @@ enum class IndexBackend {
 /// per billboard; 0.25 MB at NYC's 1462 boards, 2.0 MB at SG's 4092).
 /// Local search uses it to skip the list merge behind an exchange
 /// delta's correction term, which is zero for disjoint boards
-/// (DESIGN.md §5.2). Obtained from InfluenceIndex::board_overlap().
+/// (DESIGN.md §5.2); the lazy greedy selector reads a row to find the
+/// boards whose gain a new pick can change (§5.1). Obtained from
+/// InfluenceIndex::board_overlap().
 class BoardOverlap {
  public:
   /// True iff CoveredBy(x) and CoveredBy(y) intersect (for x == y: iff
@@ -39,6 +42,21 @@ class BoardOverlap {
         bits_[static_cast<size_t>(x) * words_per_row_ +
               (static_cast<uint32_t>(y) >> 6)];
     return ((word >> (static_cast<uint32_t>(y) & 63)) & 1) != 0;
+  }
+
+  /// Calls fn(BillboardId) for every y with Overlap(x, y), ascending
+  /// (x itself included iff its list is non-empty). One pass over x's row
+  /// word by word, so the cost is n / 64 words plus one call per
+  /// neighbour.
+  template <typename Fn>
+  void ForEachNeighbour(model::BillboardId x, Fn&& fn) const {
+    const uint64_t* row = &bits_[static_cast<size_t>(x) * words_per_row_];
+    for (size_t w = 0; w < words_per_row_; ++w) {
+      for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+        fn(static_cast<model::BillboardId>(
+            w * 64 + static_cast<size_t>(std::countr_zero(word))));
+      }
+    }
   }
 
  private:
@@ -166,8 +184,9 @@ class InfluenceIndex {
   /// The board-overlap bitset, built on first use from the reverse lists
   /// (ForEachCovering, so compressed-only indexes work too) in
   /// O(sum_t |CoveringOf(t)|^2) and then shared by every caller. Thread
-  /// safe: concurrent first calls build it once. Index build, snapshot
-  /// load and serving never touch it; only local search does.
+  /// safe: concurrent first calls build it once. Index build and
+  /// snapshot load never touch it; local search and the lazy greedy
+  /// selector do, on their first use.
   const BoardOverlap& board_overlap() const;
 
   /// I({o}) — the number of trajectories billboard `o` influences.

@@ -730,6 +730,114 @@ std::string_view QueryParam(std::string_view query, std::string_view key) {
   return std::string_view();
 }
 
+Result<std::vector<std::optional<double>>> ParseFlatJsonNumbers(
+    std::string_view json, const std::vector<std::string_view>& keys,
+    size_t max_bytes) {
+  if (json.size() > max_bytes) {
+    return Status::InvalidArgument("JSON body exceeds " +
+                                   std::to_string(max_bytes) + " bytes");
+  }
+  size_t pos = 0;
+  auto skip_space = [&] {
+    while (pos < json.size() && (json[pos] == ' ' || json[pos] == '\t' ||
+                                 json[pos] == '\n' || json[pos] == '\r')) {
+      ++pos;
+    }
+  };
+  auto digits = [&] {
+    const size_t start = pos;
+    while (pos < json.size() &&
+           std::isdigit(static_cast<unsigned char>(json[pos]))) {
+      ++pos;
+    }
+    return pos > start;
+  };
+  std::vector<std::optional<double>> values(keys.size());
+  skip_space();
+  if (pos == json.size() || json[pos] != '{') {
+    return Status::InvalidArgument("JSON body must be an object");
+  }
+  ++pos;
+  skip_space();
+  bool first = true;
+  while (true) {
+    if (pos == json.size()) {
+      return Status::InvalidArgument("unterminated JSON object");
+    }
+    if (json[pos] == '}' && first) break;
+    if (!first) {
+      if (json[pos] == '}') break;
+      if (json[pos] != ',') {
+        return Status::InvalidArgument("expected ',' or '}' in JSON object");
+      }
+      ++pos;
+      skip_space();
+    }
+    first = false;
+    // A name: a plain string (no escapes — no accepted name has one).
+    if (pos == json.size() || json[pos] != '"') {
+      return Status::InvalidArgument("expected a quoted JSON field name");
+    }
+    const size_t name_start = ++pos;
+    while (pos < json.size() && json[pos] != '"' && json[pos] != '\\') {
+      ++pos;
+    }
+    if (pos == json.size() || json[pos] != '"') {
+      return Status::InvalidArgument("bad JSON field name");
+    }
+    const std::string_view name = json.substr(name_start, pos - name_start);
+    ++pos;
+    const auto key = std::find(keys.begin(), keys.end(), name);
+    if (key == keys.end()) {
+      return Status::InvalidArgument("unknown JSON field '" +
+                                     std::string(name) + "'");
+    }
+    std::optional<double>& value = values[key - keys.begin()];
+    if (value.has_value()) {
+      return Status::InvalidArgument("duplicate JSON field '" +
+                                     std::string(name) + "'");
+    }
+    skip_space();
+    if (pos == json.size() || json[pos] != ':') {
+      return Status::InvalidArgument("expected ':' after JSON field name");
+    }
+    ++pos;
+    skip_space();
+    // A JSON number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+    const size_t number_start = pos;
+    if (pos < json.size() && json[pos] == '-') ++pos;
+    const size_t int_start = pos;
+    bool ok = digits() && (json[int_start] != '0' || pos == int_start + 1);
+    if (ok && pos < json.size() && json[pos] == '.') {
+      ++pos;
+      ok = digits();
+    }
+    if (ok && pos < json.size() && (json[pos] == 'e' || json[pos] == 'E')) {
+      ++pos;
+      if (pos < json.size() && (json[pos] == '+' || json[pos] == '-')) ++pos;
+      ok = digits();
+    }
+    if (!ok) {
+      return Status::InvalidArgument("JSON field '" + std::string(name) +
+                                     "' is not a number");
+    }
+    Result<double> parsed =
+        common::ParseDouble(json.substr(number_start, pos - number_start));
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("JSON field '" + std::string(name) +
+                                     "' is out of range");
+    }
+    value = *parsed;
+    skip_space();
+  }
+  ++pos;  // the closing brace
+  skip_space();
+  if (pos != json.size()) {
+    return Status::InvalidArgument("trailing bytes after the JSON object");
+  }
+  return values;
+}
+
 Result<double> ExtractJsonNumber(std::string_view json,
                                  std::string_view key) {
   std::string quoted;

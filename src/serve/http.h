@@ -1,6 +1,7 @@
 #ifndef MROAM_SERVE_HTTP_H_
 #define MROAM_SERVE_HTTP_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -205,9 +206,23 @@ class HttpClient {
   std::string buffer_;  ///< bytes past the previously framed response
 };
 
+/// Parses `json` as one flat JSON object of numbers, such as
+/// `{"demand": 120, "payment": 35.5}`, strictly: only the names in
+/// `keys` may appear, each at most once, every value must be a JSON
+/// number, nothing but whitespace may follow the closing brace, and the
+/// text must fit in `max_bytes`. Returns the values aligned with `keys`
+/// (nullopt for a name that is absent); fails with kInvalidArgument and
+/// the reason otherwise.
+common::Result<std::vector<std::optional<double>>> ParseFlatJsonNumbers(
+    std::string_view json, const std::vector<std::string_view>& keys,
+    size_t max_bytes);
+
 /// Extracts a top-level numeric JSON field (e.g. `"demand": 120`) from a
-/// flat JSON object without a full parser. Fails with kInvalidArgument
-/// when the key is missing or its value is not a number.
+/// flat JSON object by a substring search, without a parser — it reads
+/// the first match anywhere in the text, so it serves for reading trusted
+/// responses (tests, load generators), not for parsing requests. Fails
+/// with kInvalidArgument when the key is missing or its value is not a
+/// number.
 common::Result<double> ExtractJsonNumber(std::string_view json,
                                          std::string_view key);
 

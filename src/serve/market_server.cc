@@ -34,6 +34,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
+/// The largest accepted POST /contracts body. A contract is two numbers;
+/// this leaves room for whitespace and long number spellings.
+constexpr size_t kMaxContractBodyBytes = 1024;
+
 HttpResponse JsonError(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
@@ -951,11 +955,16 @@ void MarketServer::AddStaleHeader(HttpResponse* response) {
 
 HttpResponse MarketServer::HandleSubmit(const HttpRequest& request,
                                         RequestTrace* trace) {
-  common::Result<double> demand = ExtractJsonNumber(request.body, "demand");
-  common::Result<double> payment =
-      ExtractJsonNumber(request.body, "payment");
-  if (!demand.ok()) return JsonError(400, demand.status().message());
-  if (!payment.ok()) return JsonError(400, payment.status().message());
+  // A contract is a flat object of exactly these numbers; anything else
+  // (nesting, repeats, unknown names, trailing bytes) is refused.
+  common::Result<std::vector<std::optional<double>>> fields =
+      ParseFlatJsonNumbers(request.body, {"demand", "payment"},
+                           kMaxContractBodyBytes);
+  if (!fields.ok()) return JsonError(400, fields.status().message());
+  const std::optional<double>& demand = (*fields)[0];
+  const std::optional<double>& payment = (*fields)[1];
+  if (!demand.has_value()) return JsonError(400, "missing field 'demand'");
+  if (!payment.has_value()) return JsonError(400, "missing field 'payment'");
   if (*demand < 1.0 || *demand > 9e15 ||
       *demand != static_cast<double>(static_cast<int64_t>(*demand))) {
     return JsonError(400, "demand must be a positive integer");

@@ -1,6 +1,7 @@
 #include "influence/influence_index.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -202,6 +203,39 @@ TEST(BoardOverlapTest, AgreesWithBruteForceListIntersection) {
     // The fixture must exercise both answers.
     EXPECT_GT(overlapping, 0);
     EXPECT_LT(overlapping, int64_t{70} * 69);
+  }
+}
+
+TEST(BoardOverlapTest, ForEachNeighbourListsExactlyTheIntersectingBoards) {
+  // 130 boards: rows of three words, the last one partial, and boards
+  // with empty lists (no neighbours, not even themselves).
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    common::Rng rng(seed);
+    std::vector<std::vector<model::TrajectoryId>> covered(130);
+    for (auto& list : covered) {
+      if (rng.Bernoulli(0.1)) continue;
+      for (model::TrajectoryId t = 0; t < 500; ++t) {
+        if (rng.Bernoulli(0.01)) list.push_back(t);
+      }
+    }
+    InfluenceIndex index =
+        InfluenceIndex::Build(DatasetFromIncidence(covered, 500),
+                              kFixtureLambda);
+    const BoardOverlap& overlap = index.board_overlap();
+    for (model::BillboardId x = 0; x < index.num_billboards(); ++x) {
+      std::vector<model::BillboardId> expected;
+      for (model::BillboardId y = 0; y < index.num_billboards(); ++y) {
+        std::vector<model::TrajectoryId> shared;
+        std::set_intersection(covered[x].begin(), covered[x].end(),
+                              covered[y].begin(), covered[y].end(),
+                              std::back_inserter(shared));
+        if (!shared.empty()) expected.push_back(y);
+      }
+      std::vector<model::BillboardId> listed;
+      overlap.ForEachNeighbour(
+          x, [&listed](model::BillboardId y) { listed.push_back(y); });
+      ASSERT_EQ(listed, expected) << "board " << x;  // ascending, no repeats
+    }
   }
 }
 

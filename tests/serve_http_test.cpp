@@ -152,6 +152,37 @@ TEST(HttpParseTest, ExtractJsonNumberFindsFields) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(HttpParseTest, FlatJsonNumbersParseStrictly) {
+  const std::vector<std::string_view> keys{"demand", "payment"};
+  auto parsed = ParseFlatJsonNumbers(
+      " {\"payment\" : 3.5e1,\n\"demand\":120 } ", keys, 1024);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_DOUBLE_EQ(*(*parsed)[0], 120.0);
+  EXPECT_DOUBLE_EQ(*(*parsed)[1], 35.0);
+  auto partial = ParseFlatJsonNumbers("{\"payment\": -2}", keys, 1024);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_FALSE((*partial)[0].has_value());
+  EXPECT_DOUBLE_EQ(*(*partial)[1], -2.0);
+  ASSERT_TRUE(ParseFlatJsonNumbers("{}", keys, 1024).ok());
+  for (const char* bad : {
+           "", "[]", "{", "{\"demand\":1", "{\"demand\":1,}", "{,}",
+           "{\"demand\" 1}", "{\"demand\":}", "{\"demand\":\"1\"}",
+           "{\"demand\":{\"x\":1}}", "{\"demand\":[1]}", "{\"demand\":01}",
+           "{\"demand\":1.}", "{\"demand\":.5}", "{\"demand\":+1}",
+           "{\"demand\":1e}", "{\"demand\":0x10}", "{\"demand\":nan}",
+           "{\"demand\":1e999}", "{\"demand\":1}x", "{\"demand\":1}{}",
+           "{\"dem\\u0061nd\":1}", "{\"other\":1}", "{demand:1}",
+           "{\"demand\":1,\"demand\":1}"}) {
+    auto result = ParseFlatJsonNumbers(bad, keys, 1024);
+    EXPECT_FALSE(result.ok()) << "accepted: " << bad;
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_FALSE(ParseFlatJsonNumbers("{\"demand\":    1}", keys, 12).ok());
+  EXPECT_TRUE(ParseFlatJsonNumbers("{\"demand\":  1}", keys, 15).ok());
+}
+
 TEST(HttpParseTest, ContentLengthAcceptsOnlyPlainDigits) {
   EXPECT_EQ(*ParseContentLength("0"), 0u);
   EXPECT_EQ(*ParseContentLength("123"), 123u);
@@ -516,6 +547,55 @@ TEST_F(MarketServerTest, SubmitValidationFailsFast) {
   request.body = "{\"demand\": 5, \"payment\": -2}";
   EXPECT_EQ(server.Handle(request).status, 400);
   request.body = "{\"demand\": 1e300, \"payment\": 2}";
+  EXPECT_EQ(server.Handle(request).status, 400);
+}
+
+// POST /contracts bodies the old substring search misread. Each one was
+// accepted with 202 before the parser became strict.
+TEST_F(MarketServerTest, SubmitRejectsNestedDemand) {
+  // The search found the nested "demand" first and booked demand 1.
+  MarketServer server(&index_, Config());
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/contracts";
+  request.body = "{\"x\":{\"demand\":1},\"demand\":500,\"payment\":2}";
+  const HttpResponse response = server.Handle(request);
+  EXPECT_EQ(response.status, 400) << response.body;
+}
+
+TEST_F(MarketServerTest, SubmitRejectsDuplicateFields) {
+  // The first of two "demand" fields won.
+  MarketServer server(&index_, Config());
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/contracts";
+  request.body = "{\"demand\": 5, \"demand\": 500, \"payment\": 2}";
+  const HttpResponse response = server.Handle(request);
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("duplicate"), std::string::npos)
+      << response.body;
+}
+
+TEST_F(MarketServerTest, SubmitRejectsUnterminatedObject) {
+  MarketServer server(&index_, Config());
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/contracts";
+  request.body = "{\"demand\": 5, \"payment\": 2";
+  const HttpResponse response = server.Handle(request);
+  EXPECT_EQ(response.status, 400) << response.body;
+}
+
+TEST_F(MarketServerTest, SubmitRejectsUnknownFieldsAndOversizedBodies) {
+  MarketServer server(&index_, Config());
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/contracts";
+  request.body = "{\"demand\": 5, \"payment\": 2, \"penalty_rate\": 1}";
+  EXPECT_EQ(server.Handle(request).status, 400);
+  request.body = "{\"demand\": 5, \"payment\": 2}" + std::string(2000, ' ');
+  EXPECT_EQ(server.Handle(request).status, 400);
+  request.body = "{\"payment\": 2}";
   EXPECT_EQ(server.Handle(request).status, 400);
 }
 
